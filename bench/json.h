@@ -65,7 +65,9 @@ inline std::string JsonNumber(double value) {
 class JsonRow {
  public:
   JsonRow& Str(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + internal::JsonEscape(value) + "\"");
+    std::string quoted = "\"";
+    quoted.append(internal::JsonEscape(value)).append("\"");
+    fields_.emplace_back(key, std::move(quoted));
     return *this;
   }
   JsonRow& Num(const std::string& key, double value) {
@@ -85,8 +87,10 @@ class JsonRow {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + internal::JsonEscape(fields_[i].first) +
-             "\": " + fields_[i].second;
+      out.append("\"")
+          .append(internal::JsonEscape(fields_[i].first))
+          .append("\": ")
+          .append(fields_[i].second);
     }
     out += "}";
     return out;

@@ -83,19 +83,17 @@ void CompactElimination::Round(NodeContext& ctx) {
   // Gather the neighbors' surviving numbers. In this protocol every node
   // broadcasts every round, so a missing broadcast is a bug.
   auto& values = scratch_values_[v];
-  std::vector<double> weights(d);
   for (std::size_t i = 0; i < d; ++i) {
     const Payload* p = ctx.NeighborBroadcast(i);
     KCORE_CHECK_MSG(p != nullptr && !p->empty(),
                     "missing broadcast from neighbor of " << v);
     values[i] = (*p)[0];
-    weights[i] = nbrs[i].w;
   }
 
-  if (!opts_.stateful_tiebreak) {
-    std::iota(order_[v].begin(), order_[v].end(), 0u);
-  }
-  UpdateResult res = UpdateStep(values, weights, order_[v]);
+  auto& order = order_[v];
+  if (!opts_.stateful_tiebreak) std::iota(order.begin(), order.end(), 0u);
+  const UpdateResult res = UpdateStep(
+      values, [&](std::size_t i) { return nbrs[i].w; }, order);
   double nb = res.b;
   if (opts_.lambda > 0.0) nb = RoundDownToPower(nb, opts_.lambda);
   if (nb != b_[v]) {
@@ -103,8 +101,10 @@ void CompactElimination::Round(NodeContext& ctx) {
     last_change_[v] = ctx.round();
   }
   if (opts_.track_orientation) {
-    std::sort(res.chosen.begin(), res.chosen.end());
-    in_sets_[v] = std::move(res.chosen);
+    auto& in_set = in_sets_[v];
+    in_set.assign(order.begin() + static_cast<std::ptrdiff_t>(res.n_begin),
+                  order.end());
+    std::sort(in_set.begin(), in_set.end());
   }
   ctx.Broadcast({b_[v]});
 }

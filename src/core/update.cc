@@ -3,55 +3,39 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/logging.h"
 
 namespace kcore::core {
 
-UpdateResult UpdateStep(std::span<const double> values,
-                        std::span<const double> weights,
-                        std::span<std::uint32_t> order) {
-  const std::size_t d = values.size();
-  KCORE_CHECK(weights.size() == d && order.size() == d);
-  UpdateResult out;
-  if (d == 0) return out;  // b = 0, N = {}
-
-  // Stable sort by current values: ties keep the order induced by all past
-  // rounds (most recent first), bottoming out at the caller's initial
-  // id-order — the paper's tie-breaking rule.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return values[a] < values[b];
-                   });
-
-  // Scan thresholds from the largest down (Algorithm 3). With sorted
-  // b_1 <= ... <= b_d and suffix sum s_i = sum_{j >= i} w_j, the first
-  // (largest) i with s_i > b_{i-1} yields b = min(b_i, s_i):
-  //  * if s_i > b_i: b = b_i and N = {i+1..d} (then sum_N w = s_{i+1}
-  //    <= b_i because the scan did not stop at i+1);
-  //  * else b = s_i and N = {i..d} (sum_N w = s_i = b exactly).
-  double s = 0.0;
-  for (std::size_t i = d; i-- > 0;) {
-    s += weights[order[i]];
-    const double prev =
-        i > 0 ? values[order[i - 1]] : -std::numeric_limits<double>::infinity();
-    if (s > prev) {
-      const double bi = values[order[i]];
-      if (s <= bi) {
-        out.b = s;
-        out.chosen.assign(order.begin() + static_cast<std::ptrdiff_t>(i),
-                          order.end());
-      } else {
-        out.b = bi;
-        out.chosen.assign(order.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                          order.end());
-      }
-      return out;
+void StableSortByValue(std::span<const double> values,
+                       std::span<std::uint32_t> order) {
+  const std::size_t d = order.size();
+  std::size_t budget = 4 * d;  // element moves
+  for (std::size_t i = 1; i < d; ++i) {
+    const std::uint32_t x = order[i];
+    const double xv = values[x];
+    std::size_t j = i;
+    // Strict < keeps equal values in their incoming order: stable.
+    while (j > 0 && xv < values[order[j - 1]]) {
+      order[j] = order[j - 1];
+      --j;
     }
+    order[j] = x;
+    if (i - j > budget) {
+      // Budget spent. order[0..i] is stably sorted and the rest is
+      // untouched, so equal values still sit in their incoming relative
+      // order — std::stable_sort over the whole range therefore yields
+      // the very permutation it would have produced from the input.
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return values[a] < values[b];
+                       });
+      return;
+    }
+    budget -= i - j;
   }
-  // Unreachable: the loop always stops at i == 0 (prev = -inf, s >= 0).
-  KCORE_CHECK_MSG(false, "UpdateStep scan fell through");
-  return out;
 }
 
 double UpdateValueBruteForce(std::span<const double> values,

@@ -136,12 +136,13 @@ std::vector<double> DCoreSurvivingNumbers(const Digraph& g, double l,
       if (!active[v]) continue;
       const auto in = g.InNeighbors(v);
       std::vector<double> values(in.size());
-      std::vector<double> weights(in.size());
       for (std::size_t i = 0; i < in.size(); ++i) {
         values[i] = prev_active[in[i].node] ? prev_b[in[i].node] : 0.0;
-        weights[i] = in[i].w;
       }
-      b[v] = std::min(b[v], core::UpdateStep(values, weights, order[v]).b);
+      b[v] = std::min(
+          b[v], core::UpdateStep(values, [&](std::size_t i) { return in[i].w; },
+                                 order[v])
+                    .b);
     }
   }
   for (NodeId v = 0; v < n; ++v) {

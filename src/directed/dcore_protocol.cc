@@ -98,13 +98,16 @@ void DCoreProtocol::Round(NodeContext& ctx) {
   // Surviving-number update on in-neighbors: a silent source counts as
   // value 0 (it deactivated in an earlier round).
   auto& values = scratch_values_[v];
-  std::vector<double> weights(in_arcs_[v].size());
-  for (std::size_t i = 0; i < in_arcs_[v].size(); ++i) {
-    const Payload* p = ctx.NeighborBroadcast(in_arcs_[v][i].adj);
+  const auto& in = in_arcs_[v];
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const Payload* p = ctx.NeighborBroadcast(in[i].adj);
     values[i] = (p != nullptr && !p->empty()) ? (*p)[0] : 0.0;
-    weights[i] = in_arcs_[v][i].w;
   }
-  b_[v] = std::min(b_[v], core::UpdateStep(values, weights, order_[v]).b);
+  b_[v] = std::min(
+      b_[v],
+      core::UpdateStep(values, [&](std::size_t i) { return in[i].w; },
+                       order_[v])
+          .b);
   ctx.Broadcast({b_[v]});
 }
 

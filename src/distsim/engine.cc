@@ -13,21 +13,14 @@
 
 namespace kcore::distsim {
 
-// NodeContext is a pure forwarder: every query lands on the runtime that
-// minted it — the engine (full graph) or a rank worker's slice runtime.
+// Beyond the inline neighbor reads (engine.h), NodeContext forwards to
+// the runtime that minted it — the engine (full graph) or a rank
+// worker's slice runtime.
 
 NodeId NodeContext::n() const { return rt_->RtN(); }
 
-std::span<const graph::AdjEntry> NodeContext::neighbors() const {
-  return rt_->RtNeighbors(id_);
-}
-
 double NodeContext::weighted_degree() const {
   return rt_->RtWeightedDegree(id_);
-}
-
-const Payload* NodeContext::NeighborBroadcast(std::size_t i) const {
-  return rt_->RtNeighborBroadcast(id_, i);
 }
 
 std::span<const InMessage> NodeContext::Messages() const {
@@ -82,20 +75,8 @@ void Protocol::LoadNodeState(NodeId v, util::WireReader& in) {
 
 NodeId Engine::RtN() const { return graph_.num_nodes(); }
 
-std::span<const graph::AdjEntry> Engine::RtNeighbors(NodeId v) const {
-  return graph_.Neighbors(v);
-}
-
 double Engine::RtWeightedDegree(NodeId v) const {
   return graph_.WeightedDegree(v);
-}
-
-const Payload* Engine::RtNeighborBroadcast(NodeId v, std::size_t i) const {
-  const auto nbrs = graph_.Neighbors(v);
-  KCORE_CHECK(i < nbrs.size());
-  const NodeId u = nbrs[i].to;
-  if (!prev_has_[u]) return nullptr;
-  return &prev_bcast_[u];
 }
 
 std::span<const InMessage> Engine::RtMessages(NodeId v) const {
@@ -261,7 +242,8 @@ std::size_t Engine::ComputeRange(Protocol& p, NodeId begin, NodeId end,
   for (NodeId v = begin; v < end; ++v) {
     if (halted_[v]) continue;
     ++executed;
-    NodeContext ctx = MakeContext(v, round);
+    NodeContext ctx = MakeContext(v, round, graph_.Neighbors(v),
+                                  prev_bcast_.data(), prev_has_.data());
     if (round == 0) {
       p.Init(ctx);
     } else {

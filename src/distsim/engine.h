@@ -91,7 +91,9 @@
 #include <string>
 #include <vector>
 
+#include "distsim/payload.h"
 #include "graph/graph.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace kcore::util {
@@ -103,10 +105,11 @@ namespace kcore::distsim {
 
 using graph::NodeId;
 
-// A message payload: a short sequence of real values. The paper's
-// protocols send O(1) reals per message (Section II, "Message Content and
-// Size"); the engine counts entries so benches can report message sizes.
-using Payload = std::vector<double>;
+// Message payloads are distsim::Payload (payload.h): a short sequence of
+// reals, up to Payload::kInline = 2 of them stored inline so the paper's
+// O(1)-real messages (Section II, "Message Content and Size") never touch
+// the heap. The engine counts entries so benches can report message
+// sizes.
 
 struct InMessage {
   NodeId from = 0;
@@ -174,7 +177,11 @@ struct Totals {
 class NodeRuntime;
 
 // The per-node view handed to a protocol. Only local information is
-// reachable from here.
+// reachable from here. The runtime mints each context with the node's
+// adjacency span and its previous-round broadcast arrays, so the per-
+// neighbor reads — neighbors(), degree(), NeighborBroadcast(i) — are
+// inline, bounds-checked array reads with no call into the runtime; the
+// rest (staging sends, halting, RNG) delegates to the runtime.
 class NodeContext {
  public:
   NodeId id() const { return id_; }
@@ -184,13 +191,17 @@ class NodeContext {
   NodeId n() const;
 
   // The node's incident edges (neighbor id + weight), id-sorted.
-  std::span<const graph::AdjEntry> neighbors() const;
-  std::size_t degree() const { return neighbors().size(); }
+  std::span<const graph::AdjEntry> neighbors() const { return nbrs_; }
+  std::size_t degree() const { return nbrs_.size(); }
   double weighted_degree() const;
 
   // Broadcast of neighbor #i (index into neighbors()) from the previous
   // round, or nullptr if that neighbor did not broadcast / has halted.
-  const Payload* NeighborBroadcast(std::size_t i) const;
+  const Payload* NeighborBroadcast(std::size_t i) const {
+    KCORE_CHECK(i < nbrs_.size());
+    const NodeId u = nbrs_[i].to;
+    return prev_has_[u] ? &prev_bcast_[u] : nullptr;
+  }
 
   // Point-to-point messages delivered this round, sorted by sender id.
   std::span<const InMessage> Messages() const;
@@ -213,11 +224,22 @@ class NodeContext {
 
  private:
   friend class NodeRuntime;
-  NodeContext(NodeRuntime* rt, NodeId id, int round) noexcept
-      : rt_(rt), id_(id), round_(round) {}
+  NodeContext(NodeRuntime* rt, NodeId id, int round,
+              std::span<const graph::AdjEntry> nbrs,
+              const Payload* prev_bcast, const char* prev_has) noexcept
+      : rt_(rt),
+        id_(id),
+        round_(round),
+        nbrs_(nbrs),
+        prev_bcast_(prev_bcast),
+        prev_has_(prev_has) {}
   NodeRuntime* rt_;
   NodeId id_;
   int round_;
+  std::span<const graph::AdjEntry> nbrs_;
+  // The runtime's previous-round broadcast arrays, indexed by node id.
+  const Payload* prev_bcast_;
+  const char* prev_has_;
 };
 
 // What a NodeContext delegates to: the engine's full-graph state
@@ -234,24 +256,27 @@ class NodeRuntime {
   virtual ~NodeRuntime() = default;
 
  protected:
-  NodeContext MakeContext(NodeId id, int round) noexcept;
+  // `nbrs` is v's adjacency; prev_bcast / prev_has are the runtime's
+  // node-id-indexed previous-round broadcast arrays (valid for the
+  // context's lifetime — the compute phase writes only the next-round
+  // buffers).
+  NodeContext MakeContext(NodeId id, int round,
+                          std::span<const graph::AdjEntry> nbrs,
+                          const Payload* prev_bcast,
+                          const char* prev_has) noexcept {
+    return NodeContext(this, id, round, nbrs, prev_bcast, prev_has);
+  }
 
  private:
   friend class NodeContext;
   virtual NodeId RtN() const = 0;
-  virtual std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const = 0;
   virtual double RtWeightedDegree(NodeId v) const = 0;
-  virtual const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const = 0;
   virtual std::span<const InMessage> RtMessages(NodeId v) const = 0;
   virtual void RtBroadcast(NodeId v, Payload p) = 0;
   virtual void RtSend(NodeId v, NodeId neighbor, Payload p) = 0;
   virtual util::Rng& RtRng(NodeId v) = 0;
   virtual void RtHalt(NodeId v) = 0;
 };
-
-inline NodeContext NodeRuntime::MakeContext(NodeId id, int round) noexcept {
-  return NodeContext(this, id, round);
-}
 
 // CONGEST / locality enforcement shared by the engine's runtime and the
 // worker-side slice runtime (process_transport.cc), so both compute
@@ -435,9 +460,7 @@ class Engine : private NodeRuntime {
   // when compute runs in-engine (per-rank workers substitute their own
   // slice runtime in process_transport.cc).
   NodeId RtN() const override;
-  std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const override;
   double RtWeightedDegree(NodeId v) const override;
-  const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const override;
   std::span<const InMessage> RtMessages(NodeId v) const override;
   void RtBroadcast(NodeId v, Payload p) override;
   void RtSend(NodeId v, NodeId neighbor, Payload p) override;

@@ -298,18 +298,8 @@ class SliceRuntime final : public NodeRuntime {
   // id-sorted, so Neighbors/Degree/WeightedDegree agree with the
   // engine's bit for bit.
   NodeId RtN() const override { return n_; }
-  std::span<const graph::AdjEntry> RtNeighbors(NodeId v) const override {
-    return slice_.Neighbors(v);
-  }
   double RtWeightedDegree(NodeId v) const override {
     return slice_.WeightedDegree(v);
-  }
-  const Payload* RtNeighborBroadcast(NodeId v, std::size_t i) const override {
-    const auto nbrs = slice_.Neighbors(v);
-    KCORE_CHECK(i < nbrs.size());
-    const NodeId u = nbrs[i].to;
-    if (!prev_has_[u]) return nullptr;
-    return &prev_bcast_[u];
   }
   std::span<const InMessage> RtMessages(NodeId v) const override {
     return inbox_[v];
@@ -364,11 +354,20 @@ class SliceRuntime final : public NodeRuntime {
   bool node_rng_ready_ = false;
   std::vector<util::Rng> node_rng_;  // indexed v - lo_
 
-  // Round scratch, persistent so steady-state rounds reallocate little.
+  // Broadcast fan-out plan, built once by InitFromBody (the slice never
+  // changes): owned node v's broadcast ships to ranks
+  // fanout_rank_[fanout_off_[v - lo_] .. fanout_off_[v - lo_ + 1]) —
+  // every REMOTE rank owning a neighbor, ascending — and would cost one
+  // copy per remote neighbor (remote_nbrs_[v - lo_]) without dedup.
+  std::vector<std::size_t> fanout_off_;
+  std::vector<int> fanout_rank_;
+  std::vector<std::uint64_t> remote_nbrs_;
+
+  // Round scratch, persistent so steady-state rounds reallocate nothing.
   std::vector<std::uint64_t> p2p_row_, p2p_displ_;
-  std::vector<std::uint8_t> p2p_buf_, bcast_scratch_, send_buf_;
-  std::vector<std::vector<std::uint8_t>> bcast_buf_;  // one per dst rank
-  std::vector<std::uint64_t> counts_, displ_;
+  std::vector<std::uint64_t> bcast_row_;  // fan-out bytes per dst rank
+  std::vector<std::uint8_t> p2p_buf_, send_buf_;
+  std::vector<std::uint64_t> counts_, displ_, cursor_;
   std::vector<std::vector<std::uint8_t>> recv_seg_;
 };
 
@@ -388,6 +387,10 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
   rank_bounds_.resize(static_cast<std::size_t>(num_ranks_) + 1);
   for (std::uint64_t& b : rank_bounds_) {
     if (!r.TryFixed64(&b)) WorkerDie(rank_, "truncated init frame (bounds)");
+  }
+  if (rank_bounds_.front() != 0 || rank_bounds_.back() != n_ ||
+      !std::is_sorted(rank_bounds_.begin(), rank_bounds_.end())) {
+    WorkerDie(rank_, "init frame rank bounds do not split [0, n)");
   }
   lo_ = static_cast<NodeId>(rank_bounds_[rank_]);
   hi_ = static_cast<NodeId>(rank_bounds_[rank_ + 1]);
@@ -415,7 +418,9 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
     // binio path: mmap the file and decode only slice-incident edges —
     // the rank-sliced ingestion contract of graph/binio.h.
     std::uint64_t len = 0;
-    if (!r.TryVarint(&len)) WorkerDie(rank_, "truncated init frame (path)");
+    if (!r.TryVarint(&len) || len > r.remaining()) {
+      WorkerDie(rank_, "truncated init frame (path)");
+    }
     std::string path(len, '\0');
     if (!r.TryRaw(path.data(), len)) {
       WorkerDie(rank_, "truncated init frame (path bytes)");
@@ -437,8 +442,29 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
   halted_.assign(n_, 0);
   outbox_.resize(n_);
   inbox_.resize(n_);
-  bcast_buf_.resize(num_ranks_);
   recv_seg_.resize(num_ranks_);
+
+  // The fan-out plan. Adjacency is id-sorted and rank cells are
+  // ascending contiguous ranges, so owner ranks are non-decreasing along
+  // each walk — dedup is a single moving cursor, no per-neighbor search.
+  fanout_off_.assign(1, 0);
+  fanout_rank_.clear();
+  remote_nbrs_.clear();
+  for (NodeId v = lo_; v < hi_; ++v) {
+    int dst = 0;
+    std::uint64_t remote = 0;
+    for (const graph::AdjEntry& a : slice_.Neighbors(v)) {
+      while (a.to >= rank_bounds_[dst + 1]) ++dst;
+      if (dst == rank_) continue;
+      ++remote;
+      if (fanout_rank_.size() == fanout_off_.back() ||
+          fanout_rank_.back() != dst) {
+        fanout_rank_.push_back(dst);
+      }
+    }
+    remote_nbrs_.push_back(remote);
+    fanout_off_.push_back(fanout_rank_.size());
+  }
 
   // Per-owned-node protocol state. Each block must consume exactly its
   // declared length: a Save/Load drift would otherwise shift every
@@ -446,7 +472,9 @@ void SliceRuntime::InitFromBody(const std::vector<std::uint8_t>& body) {
   std::vector<std::uint8_t> state;
   for (NodeId v = lo_; v < hi_; ++v) {
     std::uint64_t len = 0;
-    if (!r.TryVarint(&len)) WorkerDie(rank_, "truncated init frame (state)");
+    if (!r.TryVarint(&len) || len > r.remaining()) {
+      WorkerDie(rank_, "truncated init frame (state)");
+    }
     state.resize(len);
     if (!r.TryRaw(state.data(), len)) {
       WorkerDie(rank_, "truncated init frame (state bytes)");
@@ -472,7 +500,8 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   for (NodeId v = lo_; v < hi_; ++v) {
     if (halted_[v]) continue;
     ++active;
-    NodeContext ctx = MakeContext(v, round);
+    NodeContext ctx = MakeContext(v, round, slice_.Neighbors(v),
+                                  prev_bcast_.data(), prev_has_.data());
     if (round == 0) {
       protocol_->Init(ctx);
     } else {
@@ -483,21 +512,32 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   // 2. Census over the owned slice — the same formulas as the engine's
   // CensusRange, restricted to senders this rank owns (senders are
   // partitioned by rank, so the parent's merged sums match the
-  // in-engine census exactly).
+  // in-engine census exactly) — pricing each broadcast's fan-out off
+  // the init-time plan: bcast_row_[d] sums the bytes bound for rank d.
   std::size_t messages = 0, entries = 0, max_entries = 0;
   std::unordered_set<std::uint64_t> distinct;
+  std::uint64_t bcast_sent = 0, bcast_per_nbr = 0;
+  bcast_row_.assign(R, 0);
   for (NodeId v = lo_; v < hi_; ++v) {
     if (next_has_[v]) {
+      const Payload& b = next_bcast_[v];
       const std::size_t deg = slice_.Degree(v);
       messages += deg;
-      entries += deg * next_bcast_[v].size();
-      max_entries = std::max(max_entries, next_bcast_[v].size());
-      if (!next_bcast_[v].empty()) {
+      entries += deg * b.size();
+      max_entries = std::max(max_entries, b.size());
+      if (!b.empty()) {
         std::uint64_t bits = 0;
         static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, &next_bcast_[v][0], sizeof(bits));
+        std::memcpy(&bits, &b[0], sizeof(bits));
         distinct.insert(bits);
       }
+      const std::uint64_t bytes = WireBroadcastBytes(v, b);
+      for (std::size_t k = fanout_off_[v - lo_]; k < fanout_off_[v - lo_ + 1];
+           ++k) {
+        bcast_row_[fanout_rank_[k]] += bytes;
+        bcast_sent += bytes;
+      }
+      bcast_per_nbr += bytes * remote_nbrs_[v - lo_];
     }
     for (const OutMessage& m : outbox_[v]) {
       messages += 1;
@@ -525,55 +565,51 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
   }
   const std::uint64_t p2p_sent = p2p_displ_[R];  // diagonal included
 
-  // 3b. Pack the broadcast fan-out: each owned broadcast is encoded
-  // ONCE and its bytes appended to each remote neighbor-owning rank's
-  // segment — dedup by a moving rank cursor over the id-sorted
-  // adjacency (owner ranks are non-decreasing along it), never once
-  // per neighbor.
-  std::uint64_t bcast_sent = 0, bcast_per_nbr = 0;
-  for (int d = 0; d < R; ++d) bcast_buf_[d].clear();
-  for (NodeId v = lo_; v < hi_; ++v) {
-    if (!next_has_[v]) continue;
-    bcast_scratch_.clear();
-    util::WireAppender enc(bcast_scratch_);
-    enc.Varint(v);
-    enc.Varint(next_bcast_[v].size());
-    for (double x : next_bcast_[v]) enc.Double(x);
-    const std::uint64_t bytes = bcast_scratch_.size();
-    int r = 0;
-    int last_remote = -1;
-    std::size_t remote_nbrs = 0;
-    for (const graph::AdjEntry& a : slice_.Neighbors(v)) {
-      while (a.to >= rank_bounds_[r + 1]) ++r;
-      if (r == rank_) continue;
-      ++remote_nbrs;
-      if (r != last_remote) {
-        util::WireAppender(bcast_buf_[r])
-            .Raw(bcast_scratch_.data(), bcast_scratch_.size());
-        bcast_sent += bytes;
-        last_remote = r;
-      }
-    }
-    bcast_per_nbr += bytes * remote_nbrs;
-  }
-
-  // 3c. Composite peer bodies: [fixed64 p2p_len][p2p seg][bcast seg],
-  // contiguous per dst for ExchangeWithPeers' counts/displ contract.
-  send_buf_.clear();
+  // 3b. Composite peer bodies, laid out to their exact sizes:
+  // [fixed64 p2p_len][p2p seg][bcast seg] per remote dst, contiguous for
+  // ExchangeWithPeers' counts/displ contract (the diagonal stays local).
   counts_.assign(R, 0);
   displ_.assign(R + 1, 0);
-  {
-    util::WireAppender out(send_buf_);
-    for (int d = 0; d < R; ++d) {
-      displ_[d] = send_buf_.size();
-      if (d != rank_) {
-        out.Fixed64(p2p_row_[d]);
-        out.Raw(p2p_buf_.data() + p2p_displ_[d], p2p_row_[d]);
-        out.Raw(bcast_buf_[d].data(), bcast_buf_[d].size());
-      }
-      counts_[d] = send_buf_.size() - displ_[d];
+  cursor_.assign(R, 0);
+  for (int d = 0; d < R; ++d) {
+    if (d != rank_) counts_[d] = 8 + p2p_row_[d] + bcast_row_[d];
+    displ_[d + 1] = displ_[d] + counts_[d];
+  }
+  send_buf_.resize(displ_[R]);
+  for (int d = 0; d < R; ++d) {
+    if (d == rank_) continue;
+    std::uint8_t* body = send_buf_.data() + displ_[d];
+    util::WireWriter(body, body + 8).Fixed64(p2p_row_[d]);
+    if (p2p_row_[d] > 0) {
+      std::memcpy(body + 8, p2p_buf_.data() + p2p_displ_[d], p2p_row_[d]);
     }
-    displ_[R] = send_buf_.size();
+    cursor_[d] = displ_[d] + 8 + p2p_row_[d];
+  }
+
+  // 3c. The broadcast fan-out: each owned broadcast is encoded ONCE,
+  // straight into its first target rank's segment, and those bytes are
+  // copied to every other target rank the plan lists.
+  for (NodeId v = lo_; v < hi_; ++v) {
+    const std::size_t k0 = fanout_off_[v - lo_];
+    const std::size_t k1 = fanout_off_[v - lo_ + 1];
+    if (!next_has_[v] || k0 == k1) continue;
+    const Payload& b = next_bcast_[v];
+    const std::uint64_t bytes = WireBroadcastBytes(v, b);
+    std::uint8_t* first = send_buf_.data() + cursor_[fanout_rank_[k0]];
+    util::WireWriter enc(first, first + bytes);
+    enc.Varint(v);
+    enc.Varint(b.size());
+    for (double x : b) enc.Double(x);
+    cursor_[fanout_rank_[k0]] += bytes;
+    for (std::size_t k = k0 + 1; k < k1; ++k) {
+      std::memcpy(send_buf_.data() + cursor_[fanout_rank_[k]], first, bytes);
+      cursor_[fanout_rank_[k]] += bytes;
+    }
+  }
+  for (int d = 0; d < R; ++d) {
+    if (d != rank_ && cursor_[d] != displ_[d + 1]) {
+      WorkerDie(rank_, "broadcast fan-out disagrees with its census");
+    }
   }
 
   // 4. The same nonblocking socketpair alltoallv as byte-shuttle mode.
@@ -596,8 +632,8 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
       continue;
     }
     util::WireReader pr(recv_seg_[s].data(), recv_seg_[s].size());
-    const std::uint64_t p2p_len = pr.Fixed64();
-    if (p2p_len + 8 > recv_seg_[s].size()) {
+    std::uint64_t p2p_len = 0;
+    if (!pr.TryFixed64(&p2p_len) || p2p_len > pr.remaining()) {
       WorkerDie(rank_, "peer body shorter than its p2p length header");
     }
     DecodeSegment(recv_seg_[s].data() + 8, p2p_len, lo_, hi_, inbox_);
@@ -623,18 +659,20 @@ void SliceRuntime::RunRound(int round, const std::vector<int>& peer,
     util::WireReader& br = tail[s];
     bcast_received += br.remaining();
     while (br.remaining() > 0) {
-      const NodeId u = static_cast<NodeId>(br.Varint());
+      NodeId u = 0;
+      if (!TryReadWireNodeId(br, &u)) {
+        WorkerDie(rank_, "malformed broadcast segment");
+      }
       if (u < rank_bounds_[s] || u >= rank_bounds_[s + 1]) {
         WorkerDie(rank_, "broadcast fan-out from a rank that does not own "
                          "the broadcaster");
       }
-      const std::uint64_t len = br.Varint();
-      prev_bcast_[u].resize(len);
-      for (std::uint64_t k = 0; k < len; ++k) prev_bcast_[u][k] = br.Double();
+      if (!TryReadWirePayload(br, &prev_bcast_[u])) {
+        WorkerDie(rank_, "malformed broadcast segment");
+      }
       prev_has_[u] = 1;
       remote_live_.push_back(u);
     }
-    if (br.failed()) WorkerDie(rank_, "malformed broadcast segment");
   }
 
   // 7. Slice quiescence: owned inbox traffic, or an owned broadcast
@@ -1201,12 +1239,14 @@ void ProcessTransport::CollectRankState(Protocol& p,
       const bool has = br.Varint() != 0;
       prev_has[v] = has ? 1 : 0;
       if (has) {
-        prev_bcast[v].resize(br.Varint());
-        for (double& x : prev_bcast[v]) x = br.Double();
+        KCORE_CHECK_MSG(TryReadWirePayload(br, &prev_bcast[v]),
+                        "malformed collect reply from rank " << r);
       } else {
         prev_bcast[v].clear();
       }
       const std::uint64_t state_len = br.Varint();
+      KCORE_CHECK_MSG(state_len <= br.remaining(),
+                      "truncated collect body from rank " << r);
       body_.resize(state_len);
       KCORE_CHECK_MSG(br.TryRaw(body_.data(), state_len),
                       "truncated collect body from rank " << r);

@@ -107,18 +107,36 @@ void PackSegments(const std::uint64_t* bounds, int cells,
   }
 }
 
+bool TryReadWireNodeId(util::WireReader& r, NodeId* out) {
+  std::uint64_t x = 0;
+  if (!r.TryVarint(&x) || x > 0xffffffffu) return false;
+  *out = static_cast<NodeId>(x);
+  return true;
+}
+
+bool TryReadWirePayload(util::WireReader& r, Payload* out) {
+  std::uint64_t len = 0;
+  if (!r.TryVarint(&len) || len > r.remaining() / 8) return false;
+  out->resize(static_cast<std::size_t>(len));
+  for (double& x : *out) {
+    if (!r.TryDouble(&x)) return false;
+  }
+  return true;
+}
+
 void DecodeSegment(const std::uint8_t* data, std::uint64_t len,
                    std::uint64_t lo, std::uint64_t hi,
                    std::vector<std::vector<InMessage>>& inbox) {
   util::WireReader r(data, len);
   while (r.remaining() > 0) {
-    const NodeId from = static_cast<NodeId>(r.Varint());
-    const NodeId to = static_cast<NodeId>(r.Varint());
-    const std::uint64_t plen = r.Varint();
     InMessage msg;
-    msg.from = from;
-    msg.payload.resize(plen);
-    for (std::uint64_t k = 0; k < plen; ++k) msg.payload[k] = r.Double();
+    NodeId to = 0;
+    KCORE_CHECK_MSG(TryReadWireNodeId(r, &msg.from) &&
+                        TryReadWireNodeId(r, &to) &&
+                        TryReadWirePayload(r, &msg.payload),
+                    "malformed packed segment: bad node id or payload "
+                    "length at byte "
+                        << (len - r.remaining()) << " of " << len);
     KCORE_CHECK_MSG(to >= lo && to < hi,
                     "packed segment routed message for receiver "
                         << to << " to the wrong dst cell ["

@@ -13,8 +13,9 @@
 //     the zero-copy two-pass scheme (offset pass turns the census count
 //     rows into running block offsets and pre-sizes inboxes; a write pass
 //     sharded by sender moves each payload into its precomputed slot).
-//     Nothing is copied or encoded: payloads std::move from outbox to
-//     inbox, and the reported wire volume is zero.
+//     Nothing is encoded: payloads std::move from outbox to inbox (a copy
+//     of at most Payload::kInline inline entries, or a heap-block steal),
+//     and the reported wire volume is zero.
 //
 //   * SerializedTransport — the MPI-shaped path, run in-process at any
 //     thread count. Each src shard measures exact per-dst-shard byte
@@ -64,6 +65,7 @@
 #include "distsim/engine.h"
 
 namespace kcore::util {
+class WireReader;
 class WireWriter;
 }
 
@@ -124,9 +126,25 @@ void PackSegments(const std::uint64_t* bounds, int cells,
                   std::uint64_t begin, std::uint64_t end,
                   util::WireWriter* seg);
 
+// Wire-decode helpers shared by every decoder of transport bytes: p2p
+// segments (DecodeSegment), the rank workers' broadcast fan-out
+// segments, and collect replies. Both validate BEFORE narrowing or
+// resizing, so a crafted field fails at the caller's own check message
+// (KCORE_CHECK, or WorkerDie inside a worker) instead of aliasing a real
+// node, throwing std::length_error, or being truncated to Payload's
+// 32-bit size. They return false on malformed input (the reader may then
+// be partly consumed).
+//
+// A node id: one varint below 2^32 (graph::NodeId's range).
+bool TryReadWireNodeId(util::WireReader& r, graph::NodeId* out);
+// A payload: varint entry count, then that many fixed64 doubles; the
+// count must be at most r.remaining() / 8 (the bytes actually present).
+bool TryReadWirePayload(util::WireReader& r, Payload* out);
+
 // Decodes one packed segment [data, data + len), appending each message
 // to its receiver's inbox. Every receiver must lie in [lo, hi) — the
-// dst cell the segment was routed to — else KCORE_CHECK fails.
+// dst cell the segment was routed to — and every field must decode
+// (TryReadWireNodeId / TryReadWirePayload), else KCORE_CHECK fails.
 // Appending segments in ascending src-cell order yields sender-sorted
 // inboxes (the other half of the contract, owned by the caller).
 void DecodeSegment(const std::uint8_t* data, std::uint64_t len,

@@ -45,16 +45,14 @@ double DynamicCoreMaintenance::Recompute(NodeId v) {
   const std::size_t d = nbrs.size();
   if (scratch_values_.size() < d) {
     scratch_values_.resize(d);
-    scratch_weights_.resize(d);
     scratch_order_.resize(d);
   }
   for (std::size_t i = 0; i < d; ++i) {
     scratch_values_[i] = core_[nbrs[i].to];
-    scratch_weights_[i] = nbrs[i].w;
     scratch_order_[i] = static_cast<std::uint32_t>(i);
   }
   return core::UpdateStep({scratch_values_.data(), d},
-                          {scratch_weights_.data(), d},
+                          [&](std::size_t i) { return nbrs[i].w; },
                           {scratch_order_.data(), d})
       .b;
 }

@@ -133,7 +133,6 @@ class DynamicCoreMaintenance {
   std::vector<NodeId> worklist_;    // Descend: FIFO worklist
   std::vector<double> before_;      // InsertEdge: pre-lift region values
   std::vector<double> scratch_values_;
-  std::vector<double> scratch_weights_;
   std::vector<std::uint32_t> scratch_order_;
 };
 

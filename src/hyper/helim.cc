@@ -65,7 +65,6 @@ std::vector<double> HyperSurvivingNumbers(const Hypergraph& h, int rounds) {
         continue;
       }
       std::vector<double> values(inc.size());
-      std::vector<double> weights(inc.size());
       for (std::size_t i = 0; i < inc.size(); ++i) {
         const HEdge& e = h.edge(inc[i]);
         // The edge survives threshold x iff every OTHER member does:
@@ -75,9 +74,11 @@ std::vector<double> HyperSurvivingNumbers(const Hypergraph& h, int rounds) {
           if (u != v) mn = std::min(mn, prev[u]);
         }
         values[i] = mn;  // singleton edge: +inf (always survives)
-        weights[i] = e.w;
       }
-      b[v] = core::UpdateStep(values, weights, order[v]).b;
+      b[v] = core::UpdateStep(
+                 values, [&](std::size_t i) { return h.edge(inc[i]).w; },
+                 order[v])
+                 .b;
     }
   }
   return b;

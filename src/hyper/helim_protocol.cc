@@ -109,7 +109,10 @@ void HyperEliminationProtocol::Round(NodeContext& ctx) {
     }
     values[i] = mn;
   }
-  b_[v] = core::UpdateStep(values, weights_[v], order_[v]).b;
+  const auto& w = weights_[v];
+  b_[v] = core::UpdateStep(
+              values, [&](std::size_t i) { return w[i]; }, order_[v])
+              .b;
   ctx.Broadcast({b_[v]});
 }
 

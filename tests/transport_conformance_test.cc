@@ -893,7 +893,9 @@ TEST(PerRankCompute, SilentRoundsReportZeroBytes) {
   // like the in-engine path — and loud rounds the identical count.
   EXPECT_EQ(BytesPerRound(e), BytesPerRound(eb));
   for (const RoundStats& r : e.history()) {
-    if (r.round % 4 != 1) EXPECT_EQ(r.bytes_sent, 0u) << "round " << r.round;
+    if (r.round % 4 != 1) {
+      EXPECT_EQ(r.bytes_sent, 0u) << "round " << r.round;
+    }
   }
 }
 
